@@ -18,18 +18,22 @@
 //!   owned by its [`Scope`]; the deques only carry redeemable *tickets*
 //!   pointing at that scope. A ticket whose scope has already drained is
 //!   a no-op, which is what makes the owner thread free to help-drain
-//!   its own scope without racing the stealers for specific items.
+//!   its own scope without racing the stealers for specific items. A
+//!   worker that owns a scope drops those leftover tickets from its own
+//!   deque when the scope ends.
 //! * **Scoped spawn with borrowed data.** [`Executor::scope`] mirrors
 //!   `std::thread::scope`: tasks may borrow from the caller's stack, and
 //!   `scope` does not return (normally or by unwind) until every spawned
 //!   task has finished. Panics inside tasks are caught, counted under
 //!   `ape.exec.task_panicked`, and re-thrown at the scope exit.
 //! * **Zero-worker degradation.** On a single-core box the global
-//!   executor has no worker threads at all; scoped and detached work
-//!   runs inline on the calling thread in submission order. Every
-//!   consumer of this crate is written so that the inline path is the
-//!   sequential path — which is also how bit-identity of parallel vs
-//!   sequential results is made trivial to reason about.
+//!   executor has no worker threads at all; scoped work runs inline on
+//!   the calling thread in submission order. Every consumer of this
+//!   crate is written so that the inline path is the sequential path —
+//!   which is also how bit-identity of parallel vs sequential results is
+//!   made trivial to reason about. Detached work stays asynchronous: each
+//!   [`Executor::spawn`] job gets a thread of its own, and runs inline
+//!   only if that thread cannot be spawned.
 //! * **Cancellation stays cooperative.** The executor knows nothing of
 //!   `ape_core::cancel` (that would invert the crate DAG); instead the
 //!   call sites capture the submitting thread's `CancelToken` in the
@@ -188,13 +192,31 @@ impl Inner {
         None
     }
 
+    /// Drops the no-op scope tickets at the back of the calling worker's
+    /// own deque. Called when a scope ends: the tickets its owner posted
+    /// sit there, each pinning its finished [`ScopeCore`], and a task that
+    /// opens many scopes without returning to [`worker_loop`] (a farm
+    /// runner draining its backlog) would otherwise pile them up.
+    fn drop_stale_tickets(&self) {
+        let Some((addr, idx)) = WORKER.with(Cell::get) else {
+            return;
+        };
+        if addr != self as *const Inner as usize {
+            return;
+        }
+        let mut dq = lock(&self.deques[idx]);
+        while let Some(Ticket::Scope(core)) = dq.back() {
+            // A scope with tasks still queued needs its ticket.
+            if !lock(&core.tasks).is_empty() {
+                break;
+            }
+            dq.pop_back();
+        }
+    }
+
     fn run_ticket(&self, ticket: Ticket) {
         match ticket {
-            Ticket::Job(job) => {
-                if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                    ape_probe::counter("ape.exec.task_panicked", 1);
-                }
-            }
+            Ticket::Job(job) => run_detached(job),
             Ticket::Scope(core) => {
                 // The ticket is only a hint; the scope owner (or another
                 // thief) may already have drained the queue.
@@ -203,6 +225,13 @@ impl Inner {
                 }
             }
         }
+    }
+}
+
+/// Runs a detached job, catching and counting its panic.
+fn run_detached(job: impl FnOnce()) {
+    if catch_unwind(AssertUnwindSafe(job)).is_err() {
+        ape_probe::counter("ape.exec.task_panicked", 1);
     }
 }
 
@@ -300,21 +329,38 @@ impl Executor {
     }
 
     /// Submits a detached fire-and-forget job. With zero workers the job
-    /// runs inline, before `spawn` returns. Panics are caught and
-    /// counted, never propagated (there is no one to propagate to).
+    /// gets a thread of its own, so `spawn` still returns before the job
+    /// finishes; only if that thread cannot be spawned does the job run
+    /// inline (`ape.exec.inline`). Panics are caught and counted, never
+    /// propagated (there is no one to propagate to).
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'static,
     {
         ape_probe::counter("ape.exec.spawned", 1);
-        if self.workers == 0 {
-            ape_probe::counter("ape.exec.inline", 1);
-            if catch_unwind(AssertUnwindSafe(f)).is_err() {
-                ape_probe::counter("ape.exec.task_panicked", 1);
-            }
+        if self.workers > 0 {
+            self.inner.post(Ticket::Job(Box::new(f)));
             return;
         }
-        self.inner.post(Ticket::Job(Box::new(f)));
+        // A failed spawn drops its closure, so the job waits in a slot
+        // both sides can take it from.
+        let slot = Arc::new(Mutex::new(Some(f)));
+        let theirs = Arc::clone(&slot);
+        let spawned = thread::Builder::new()
+            .name("ape-exec-detached".to_string())
+            .spawn(move || {
+                let job = lock(&theirs).take();
+                if let Some(f) = job {
+                    run_detached(f);
+                }
+            });
+        if spawned.is_err() {
+            ape_probe::counter("ape.exec.inline", 1);
+            let job = lock(&slot).take();
+            if let Some(f) = job {
+                run_detached(f);
+            }
+        }
     }
 
     /// Runs `f` with a [`Scope`] on which tasks borrowing the caller's
@@ -343,6 +389,7 @@ impl Executor {
             core.run_task(task);
         }
         core.wait_idle();
+        self.inner.drop_stale_tickets();
         match result {
             Err(body_panic) => resume_unwind(body_panic),
             Ok(v) => {
@@ -542,6 +589,41 @@ mod tests {
             );
             thread::yield_now();
         }
+    }
+
+    #[test]
+    fn zero_workers_run_detached_jobs_off_the_caller() {
+        let exec = Executor::new(0);
+        let caller = thread::current().id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        exec.spawn(move || {
+            tx.send(thread::current().id()).unwrap();
+        });
+        let ran_on = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("detached job never completed");
+        assert_ne!(ran_on, caller, "detached job ran inline on the caller");
+    }
+
+    #[test]
+    fn finished_scopes_leave_no_tickets_on_the_owner_deque() {
+        // Leaked so the job's worker never drops (and joins) its own pool.
+        let exec: &'static Executor = Box::leak(Box::new(Executor::new(1)));
+        let (tx, rx) = std::sync::mpsc::channel();
+        exec.spawn(move || {
+            for _ in 0..100 {
+                exec.scope(|s| {
+                    for _ in 0..4 {
+                        s.spawn(|| {});
+                    }
+                });
+            }
+            tx.send(lock(&exec.inner.deques[0]).len()).unwrap();
+        });
+        let left = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("detached job never completed");
+        assert_eq!(left, 0, "stale scope tickets piled up on the worker");
     }
 
     #[test]

@@ -144,7 +144,6 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::thread;
 
     #[test]
@@ -181,18 +180,15 @@ mod tests {
 
     #[test]
     fn waiters_block_until_publish() {
-        let c = Arc::new(ResultCache::new());
+        let c = ResultCache::new();
         assert_eq!(c.claim(3), Claim::Owner);
-        let waiters: Vec<_> = (0..3)
-            .map(|_| {
-                let c = c.clone();
-                thread::spawn(move || c.wait(3))
-            })
-            .collect();
-        thread::sleep(std::time::Duration::from_millis(20));
-        c.publish(3, Ok(Response::Text("late".into())));
-        for w in waiters {
-            assert!(w.join().unwrap().is_ok());
-        }
+        thread::scope(|s| {
+            let waiters: Vec<_> = (0..3).map(|_| s.spawn(|| c.wait(3))).collect();
+            thread::sleep(std::time::Duration::from_millis(20));
+            c.publish(3, Ok(Response::Text("late".into())));
+            for w in waiters {
+                assert!(w.join().unwrap().is_ok());
+            }
+        });
     }
 }

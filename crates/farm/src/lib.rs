@@ -9,12 +9,13 @@
 //!
 //! * a typed job model ([`Request`]/[`Response`]) covering op-amp design,
 //!   netlist estimation, and full annealing synthesis;
-//! * a bounded MPMC work queue ([`queue::BoundedQueue`]) with blocking
+//! * a [`Farm`] that admits jobs into a bounded FIFO backlog with blocking
 //!   *and* fail-fast submission, so producers feel backpressure instead of
-//!   growing an unbounded backlog;
-//! * a fixed worker pool ([`Farm`]) with per-job deadlines, cooperative
-//!   cancellation (via [`ape_core::cancel`]), and panic isolation — a
-//!   panicking job fails that job, not the farm;
+//!   growing an unbounded one, and drains it with at most
+//!   [`FarmConfig::workers`] runners on the shared [`ape_exec`] executor —
+//!   with per-job deadlines, cooperative cancellation (via
+//!   [`ape_core::cancel`]), and panic isolation: a panicking job fails
+//!   that job, not the farm;
 //! * a content-addressed, single-flight result cache
 //!   ([`cache::ResultCache`]): identical requests are computed once,
 //!   whether they collide in flight or arrive after completion;
@@ -26,8 +27,9 @@
 //! byte-identical output whatever the worker count, because every job is
 //! executed as a pure function of `(technology, request)` — the estimation
 //! graph's bit-exact memo keys make a warm worker return exactly what a
-//! cold one would (see [`FarmConfig::isolate_solver_cache`] for the one
-//! cache that still resets per job) — and results are collected in grid
+//! cold one would (the sparse solver's symbolic cache, whose pivot orders
+//! do depend on history, is reset before every job; see
+//! [`Farm::solver_cache_report`]) — and results are collected in grid
 //! order.
 //!
 //! Everything is built on `std` only — no external dependencies — and the
@@ -41,11 +43,9 @@
 pub mod cache;
 pub mod job;
 pub mod pool;
-pub mod queue;
 pub mod sweep;
 
 pub use cache::{Claim, ResultCache};
 pub use job::{canonical_key, FarmError, Request, Response};
 pub use pool::{Farm, FarmConfig, FarmStats, JobHandle, SubmitOptions};
-pub use queue::{BoundedQueue, TryPushError};
 pub use sweep::{SweepMetrics, SweepPlan, SweepPoint, SweepRecord, SweepReport};

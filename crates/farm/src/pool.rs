@@ -1,16 +1,15 @@
-//! The worker pool: a dispatcher thread drains the bounded job queue and
-//! schedules each job as a task on the process-wide [`ape_exec`] executor,
-//! executing requests against a shared [`Technology`], publishing results
-//! into the single-flight [`ResultCache`], with per-job cancellation,
-//! deadlines, and panic isolation. A permit semaphore caps how many jobs
-//! are in flight at once ([`FarmConfig::workers`], clamped to the
-//! machine), so the farm shares threads with every other executor client
-//! — AC sweeps, `evaluate_many` fan-outs, other farms — instead of
-//! running a competing pool.
+//! The farm's dispatch path: `submit` admits a job into a bounded backlog
+//! and, while fewer than [`FarmConfig::workers`] runners are active,
+//! starts a runner as a detached task on the process-wide [`ape_exec`]
+//! executor. A runner drains the backlog in FIFO order, executing each
+//! request against a shared [`Technology`] and publishing its result into
+//! the single-flight [`ResultCache`], with per-job cancellation,
+//! deadlines and panic isolation. The farm owns no thread: it shares the
+//! executor with every other client — AC sweeps, `evaluate_many`
+//! fan-outs, other farms — instead of running a competing pool.
 
 use crate::cache::{Claim, ResultCache};
 use crate::job::{canonical_key, FarmError, Request, Response};
-use crate::queue::{BoundedQueue, TryPushError};
 use ape_calib::Calibration;
 use ape_core::cancel::{self, CancelToken};
 use ape_core::graph::SharedMemo;
@@ -19,11 +18,10 @@ use ape_core::opamp::OpAmp;
 use ape_mos::fingerprint::Fingerprint;
 use ape_netlist::Technology;
 use ape_oblx::synthesize;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`Farm`].
@@ -35,7 +33,8 @@ pub struct FarmConfig {
     /// the machine has cores buys queueing, not throughput. The clamped
     /// value is visible as [`Farm::effective_workers`].
     pub workers: usize,
-    /// Bounded queue capacity (backpressure threshold). Default 256.
+    /// Backlog capacity: accepted jobs not yet picked up by a runner
+    /// (backpressure threshold). Default 256.
     pub queue_capacity: usize,
     /// Per-job deadline; a job still running past it is abandoned at the
     /// estimator's next cancellation checkpoint. `None` = no deadline.
@@ -47,12 +46,6 @@ pub struct FarmConfig {
     /// Enable only to measure cold-path latency; it forfeits the
     /// incremental-estimation speedup across a sweep's neighbouring jobs.
     pub isolate_sizing_cache: bool,
-    /// Reset the sparse solver's symbolic-factorisation cache before every
-    /// job (default `true`). A cached pivot order is a function of the job
-    /// that built it; isolated jobs each start cold, keeping a job's
-    /// floating-point path independent of what ran before it on the same
-    /// worker.
-    pub isolate_solver_cache: bool,
     /// Attach one process-wide [`SharedMemo`] to every worker's estimation
     /// graph (default `false`). Memo keys are bit-exact input fingerprints,
     /// so the shared store is a pure read-through cache: results are
@@ -73,7 +66,6 @@ impl Default for FarmConfig {
             queue_capacity: 256,
             job_timeout: None,
             isolate_sizing_cache: false,
-            isolate_solver_cache: true,
             shared_graph: false,
         }
     }
@@ -164,63 +156,25 @@ struct WorkItem {
     enqueued: Instant,
 }
 
-/// A counting semaphore bounding in-flight jobs. The dispatcher acquires
-/// a permit *before* popping the queue, so while every permit is out,
-/// queued items stay in the queue — which is what makes
-/// [`Farm::try_submit`] backpressure observable.
-struct Permits {
-    avail: Mutex<usize>,
-    returned: Condvar,
-    total: usize,
-}
-
-impl Permits {
-    fn new(total: usize) -> Self {
-        Permits {
-            avail: Mutex::new(total),
-            returned: Condvar::new(),
-            total,
-        }
-    }
-
-    fn acquire(&self) {
-        let mut avail = self.avail.lock().unwrap_or_else(|e| e.into_inner());
-        while *avail == 0 {
-            avail = self.returned.wait(avail).unwrap_or_else(|e| e.into_inner());
-        }
-        *avail -= 1;
-    }
-
-    fn release(&self) {
-        let mut avail = self.avail.lock().unwrap_or_else(|e| e.into_inner());
-        *avail += 1;
-        self.returned.notify_all();
-    }
-
-    /// Blocks until every permit is back — i.e. no job is in flight.
-    fn wait_all_returned(&self) {
-        let mut avail = self.avail.lock().unwrap_or_else(|e| e.into_inner());
-        while *avail < self.total {
-            avail = self.returned.wait(avail).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Returns a job's permit when the task finishes — including a panic
-/// unwinding past `run_item`'s net (the executor's own `catch_unwind`
-/// stops it after this guard has dropped).
-struct PermitOnDrop {
-    shared: Arc<Shared>,
-}
-
-impl Drop for PermitOnDrop {
-    fn drop(&mut self) {
-        self.shared.permits.release();
-    }
+/// Jobs accepted but not yet started, and the runners draining them, under
+/// one lock: a runner leaves only after finding the backlog empty while
+/// holding it, and `submit` starts a runner under the same lock whenever
+/// fewer than the bound are active, so no accepted job is stranded.
+struct Admission {
+    backlog: VecDeque<WorkItem>,
+    runners: usize,
+    closed: bool,
 }
 
 struct Shared {
-    queue: BoundedQueue<WorkItem>,
+    admission: Mutex<Admission>,
+    /// Signalled when a full backlog frees a slot, on close, and when the
+    /// last runner leaves a closed farm.
+    admission_changed: Condvar,
+    queue_capacity: usize,
+    /// Most runners active at once: the farm's in-flight job bound
+    /// ([`FarmConfig::workers`] clamped to the machine).
+    max_runners: usize,
     cache: ResultCache,
     tech: Arc<Technology>,
     /// Registered tenant technologies, keyed by fingerprint. The default
@@ -234,11 +188,7 @@ struct Shared {
     /// Cross-worker estimation memo store when
     /// [`FarmConfig::shared_graph`] is set.
     shared_graph: Option<Arc<SharedMemo>>,
-    /// In-flight job bound (the farm's share of the process executor).
-    permits: Permits,
-    inflight: AtomicUsize,
     isolate_sizing_cache: bool,
-    isolate_solver_cache: bool,
     stats: StatCells,
     /// Always-on latency telemetry, independent of whether a probe sink is
     /// installed: the farm owns its own lock-free histograms.
@@ -280,12 +230,80 @@ impl Shared {
             .get(&fp)
             .cloned()
     }
+
+    fn admission(&self) -> MutexGuard<'_, Admission> {
+        self.admission.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Accepts an owned job into the backlog, blocking for a slot unless
+    /// `fail_fast`, and starts a runner when fewer than the bound are
+    /// active. An `Err` is the outcome the caller must publish for the job.
+    fn admit(self: &Arc<Self>, item: WorkItem, fail_fast: bool) -> Result<(), FarmError> {
+        let mut adm = self.admission();
+        loop {
+            if adm.closed {
+                return Err(FarmError::ShuttingDown);
+            }
+            if adm.backlog.len() < self.queue_capacity {
+                break;
+            }
+            if fail_fast {
+                ape_probe::counter("ape.farm.queue.rejected", 1);
+                return Err(FarmError::QueueFull);
+            }
+            adm = self
+                .admission_changed
+                .wait(adm)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        adm.backlog.push_back(item);
+        ape_probe::gauge("ape.farm.queue.depth", adm.backlog.len() as f64);
+        let start_runner = adm.runners < self.max_runners;
+        if start_runner {
+            adm.runners += 1;
+            ape_probe::gauge("ape.farm.runners", adm.runners as f64);
+        }
+        drop(adm);
+        if start_runner {
+            let shared = Arc::clone(self);
+            ape_exec::Executor::global().spawn(move || shared.run_backlog());
+        }
+        Ok(())
+    }
+
+    /// A runner: executes backlog jobs front first until the backlog is
+    /// empty, then leaves under the admission lock.
+    fn run_backlog(&self) {
+        loop {
+            let mut adm = self.admission();
+            let was_full = adm.backlog.len() >= self.queue_capacity;
+            let Some(item) = adm.backlog.pop_front() else {
+                adm.runners -= 1;
+                ape_probe::gauge("ape.farm.runners", adm.runners as f64);
+                if adm.closed && adm.runners == 0 {
+                    self.admission_changed.notify_all();
+                }
+                return;
+            };
+            ape_probe::gauge("ape.farm.queue.depth", adm.backlog.len() as f64);
+            drop(adm);
+            if was_full {
+                self.admission_changed.notify_all();
+            }
+            // `run_job` nets the job's own panics; this net keeps a panic
+            // from outside it (its `PublishOnDrop` has already reported
+            // `WorkerLost`) from ending the runner with jobs still queued.
+            let _ = catch_unwind(AssertUnwindSafe(|| run_job(self, &item)));
+        }
+    }
 }
 
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let adm = self.admission();
         f.debug_struct("Shared")
-            .field("queue", &self.queue)
+            .field("backlog", &adm.backlog.len())
+            .field("runners", &adm.runners)
             .field("cache", &self.cache)
             .finish()
     }
@@ -321,8 +339,8 @@ impl JobHandle {
     }
 }
 
-/// A concurrent batch-estimation engine: bounded work queue, fixed worker
-/// pool, content-addressed single-flight result cache.
+/// A concurrent batch-estimation engine: bounded backlog, in-flight bound
+/// on the shared executor, content-addressed single-flight result cache.
 ///
 /// # Example
 ///
@@ -346,23 +364,21 @@ impl JobHandle {
 /// });
 /// let amp = h.wait().unwrap();
 /// assert!(amp.as_opamp().unwrap().perf.dc_gain.unwrap().abs() >= 150.0);
-/// drop(farm); // joins the workers
+/// drop(farm); // runs any accepted jobs to completion
 /// ```
 #[derive(Debug)]
 pub struct Farm {
     shared: Arc<Shared>,
-    dispatcher: Option<JoinHandle<()>>,
     cancel: CancelToken,
     job_timeout: Option<Duration>,
     configured_workers: usize,
-    effective_workers: usize,
 }
 
 impl Farm {
-    /// Builds a farm over a bounded queue: one dispatcher thread feeds
-    /// jobs to the process-wide [`ape_exec`] executor, with at most
-    /// `config.workers` (clamped to the machine's parallelism) in flight
-    /// at once.
+    /// Builds a farm whose jobs run on the process-wide [`ape_exec`]
+    /// executor, at most `config.workers` (clamped to the machine's
+    /// parallelism) at once, with up to `config.queue_capacity` more
+    /// waiting in its backlog.
     pub fn new(tech: Technology, config: FarmConfig) -> Self {
         let tech = Arc::new(tech);
         let mut tenants = HashMap::new();
@@ -372,70 +388,38 @@ impl Farm {
         // count would only time-slice each other on the shared executor.
         // (There is no per-call work-item count for a long-lived pool, so
         // that clamp term is unbounded here.)
-        let effective_workers = ape_exec::clamp_workers(configured_workers, usize::MAX);
+        let max_runners = ape_exec::clamp_workers(configured_workers, usize::MAX);
         let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
+            admission: Mutex::new(Admission {
+                backlog: VecDeque::new(),
+                runners: 0,
+                closed: false,
+            }),
+            admission_changed: Condvar::new(),
+            queue_capacity: config.queue_capacity.max(1),
+            max_runners,
             cache: ResultCache::new(),
             tech,
             tenants: RwLock::new(tenants),
             calibrations: RwLock::new(HashMap::new()),
             shared_graph: config.shared_graph.then(|| Arc::new(SharedMemo::new())),
-            permits: Permits::new(effective_workers),
-            inflight: AtomicUsize::new(0),
             isolate_sizing_cache: config.isolate_sizing_cache,
-            isolate_solver_cache: config.isolate_solver_cache,
             stats: StatCells::default(),
             queue_wait_ns: ape_probe::Histogram::new(),
             job_latency_ns: ape_probe::Histogram::new(),
         });
-        let cancel = CancelToken::new();
-        // The dispatcher is the farm's only dedicated thread. Spawning can
-        // fail under resource exhaustion; retry once after a short backoff
-        // (transient EAGAIN usually clears) before degrading.
-        let mut dispatcher = None;
-        for attempt in 0..2 {
-            let shared_d = shared.clone();
-            match std::thread::Builder::new()
-                .name("ape-farm-dispatch".to_string())
-                .spawn(move || dispatcher_loop(&shared_d))
-            {
-                Ok(handle) => {
-                    dispatcher = Some(handle);
-                    break;
-                }
-                Err(_) if attempt == 0 => {
-                    ape_probe::counter("ape.farm.dispatcher.spawn_retry", 1);
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => {
-                    ape_probe::counter("ape.farm.worker.spawn_failed", 1);
-                }
-            }
-        }
-        if dispatcher.is_none() {
-            // Nothing will ever drain the queue: close it so every
-            // submission resolves to `ShuttingDown` instead of hanging.
-            shared.queue.close();
-        }
         Farm {
             shared,
-            dispatcher,
-            cancel,
+            cancel: CancelToken::new(),
             job_timeout: config.job_timeout,
             configured_workers,
-            effective_workers,
         }
     }
 
     /// The in-flight job bound actually in force: `config.workers` after
-    /// clamping to the machine's available parallelism. 0 when the farm is
-    /// degraded (its dispatcher could not be spawned).
+    /// clamping to the machine's available parallelism (at least 1).
     pub fn effective_workers(&self) -> usize {
-        if self.dispatcher.is_some() {
-            self.effective_workers
-        } else {
-            0
-        }
+        self.shared.max_runners
     }
 
     /// The default technology, used by jobs that don't select a tenant.
@@ -496,9 +480,8 @@ impl Farm {
 
     /// Human-readable summary of the sparse solver's symbolic-factorisation
     /// cache across all workers, in the same spirit as
-    /// [`ape_core::graph::graph_report`]. With
-    /// [`FarmConfig::isolate_solver_cache`] unset, repeated same-topology
-    /// jobs on one worker reuse pivot orders and the hit rate here shows it.
+    /// [`ape_core::graph::graph_report`]. Every farm job starts with a cold
+    /// cache, so each pattern a job analyses shows up as a miss.
     pub fn solver_cache_report(&self) -> String {
         ape_spice::symbolic_cache_report()
     }
@@ -527,16 +510,11 @@ impl Farm {
         let exec = ape_exec::Executor::global();
         let _ = writeln!(
             out,
-            "  pool: {} in-flight permits ({} configured), shared executor {} workers (parallelism {}){}",
-            self.effective_workers,
+            "  pool: up to {} jobs in flight ({} configured), shared executor {} workers (parallelism {})",
+            self.effective_workers(),
             self.configured_workers,
             exec.workers(),
             exec.parallelism(),
-            if self.dispatcher.is_some() {
-                ""
-            } else {
-                " — DEGRADED: dispatcher spawn failed, submissions are rejected"
-            }
         );
         let _ = writeln!(
             out,
@@ -712,19 +690,11 @@ impl Farm {
                 };
                 // Having claimed ownership we MUST publish an outcome for
                 // this key on every path, or deduplicated waiters hang.
-                if fail_fast {
-                    match shared.queue.try_push(item) {
-                        Ok(()) => {}
-                        Err((_, TryPushError::Full)) => {
-                            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                            shared.cache.publish(key, Err(FarmError::QueueFull));
-                        }
-                        Err((_, TryPushError::Closed)) => {
-                            shared.cache.publish(key, Err(FarmError::ShuttingDown));
-                        }
+                if let Err(err) = shared.admit(item, fail_fast) {
+                    if err == FarmError::QueueFull {
+                        shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
                     }
-                } else if shared.queue.push(item).is_err() {
-                    shared.cache.publish(key, Err(FarmError::ShuttingDown));
+                    shared.cache.publish(key, Err(err));
                 }
                 handle
             }
@@ -741,17 +711,21 @@ impl Farm {
         self.cancel.cancel();
     }
 
-    /// Closes the queue and joins the dispatcher, which first drains the
-    /// queue and then waits for every in-flight job's permit to return —
-    /// queued-but-unstarted jobs still execute (close drains); new
-    /// submissions fail with [`FarmError::ShuttingDown`]. Called
-    /// automatically on drop.
+    /// Closes admission and waits for the runners to leave: accepted but
+    /// unstarted jobs still execute, and every accepted job has published
+    /// its result when this returns. New submissions fail with
+    /// [`FarmError::ShuttingDown`]. Called automatically on drop.
     pub fn shutdown(&mut self) {
-        self.shared.queue.close();
-        if let Some(d) = self.dispatcher.take() {
-            // A dispatcher that somehow panicked is not worth propagating
-            // during teardown.
-            let _ = d.join();
+        let shared = &self.shared;
+        let mut adm = shared.admission();
+        adm.closed = true;
+        // Wake submitters blocked on a full backlog: they now fail.
+        shared.admission_changed.notify_all();
+        while adm.runners > 0 {
+            adm = shared
+                .admission_changed
+                .wait(adm)
+                .unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -791,42 +765,10 @@ impl Drop for PublishOnDrop<'_> {
     }
 }
 
-/// The farm's only dedicated thread: acquire a permit, pop one job,
-/// schedule it as a detached task on the process-wide executor, repeat.
-/// Acquiring *before* popping is load-bearing: while every permit is out,
-/// queued items stay queued, so [`Farm::try_submit`]'s backpressure
-/// contract holds. On a machine whose executor has no worker threads the
-/// spawn runs the job inline right here — the dispatcher then doubles as
-/// the single worker, and the permit bound degenerates to serial
-/// execution, which is all one core can do anyway.
-fn dispatcher_loop(shared: &Arc<Shared>) {
-    let _span = ape_probe::span("ape.farm.worker");
-    loop {
-        shared.permits.acquire();
-        let Some(item) = shared.queue.pop() else {
-            // Queue closed and drained.
-            shared.permits.release();
-            break;
-        };
-        let task_shared = shared.clone();
-        ape_exec::Executor::global().spawn(move || {
-            let _permit = PermitOnDrop {
-                shared: task_shared.clone(),
-            };
-            run_job(&task_shared, &item);
-        });
-    }
-    // Shutdown's contract is "every accepted job has published a result
-    // by the time `shutdown` returns": the dispatcher is joined there, so
-    // wait for the stragglers' permits before exiting.
-    shared.permits.wait_all_returned();
-}
-
-/// Executes one dequeued job on whatever thread the executor chose and
-/// publishes its outcome. This is the old per-worker loop body, minus the
-/// loop: thread affinity is gone, so per-thread state (the estimation
-/// graph's shared-memo attachment) is asserted per job instead of once at
-/// worker start.
+/// Executes one dequeued job on whatever thread the executor gave its
+/// runner and publishes its outcome. Runners have no thread affinity, so
+/// per-thread state (the estimation graph's shared-memo attachment) is
+/// asserted per job.
 fn run_job(shared: &Shared, item: &WorkItem) {
     // Attach (or detach) this thread's estimation graph to the farm's
     // memo store. Executor threads are shared between farms and other
@@ -847,8 +789,6 @@ fn run_job(shared: &Shared, item: &WorkItem) {
     let wait_ns = item.enqueued.elapsed().as_nanos() as f64;
     shared.queue_wait_ns.record(wait_ns);
     ape_probe::value("ape.farm.queue.wait_ns", wait_ns);
-    let inflight = shared.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-    ape_probe::gauge("ape.farm.inflight", inflight as f64);
     let t0 = Instant::now();
     let result = run_item(shared, item);
     let latency_ns = t0.elapsed().as_nanos() as f64;
@@ -869,8 +809,6 @@ fn run_job(shared: &Shared, item: &WorkItem) {
     }
     guard.armed = false;
     shared.cache.publish(item.key, result);
-    let inflight = shared.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
-    ape_probe::gauge("ape.farm.inflight", inflight as f64);
 }
 
 fn run_item(shared: &Shared, item: &WorkItem) -> Result<Response, FarmError> {
@@ -885,9 +823,10 @@ fn run_item(shared: &Shared, item: &WorkItem) -> Result<Response, FarmError> {
     if shared.isolate_sizing_cache {
         ape_core::graph::reset_thread_graph();
     }
-    if shared.isolate_solver_cache {
-        ape_spice::reset_symbolic_cache();
-    }
+    // A cached pivot order is a function of the job that built it;
+    // starting every job cold keeps its floating-point path independent of
+    // what ran before it on the same thread.
+    ape_spice::reset_symbolic_cache();
     let outcome = catch_unwind(AssertUnwindSafe(|| execute(&item.tech, &item.req)));
     match outcome {
         Ok(result) => result,

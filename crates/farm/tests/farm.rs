@@ -8,7 +8,8 @@ use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
 use ape_farm::{Farm, FarmConfig, FarmError, Request, Response};
 use ape_netlist::Technology;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 fn spec(gain: f64) -> OpAmpSpec {
     OpAmpSpec {
@@ -185,6 +186,196 @@ fn try_submit_feels_backpressure() {
         run: very_slow_job,
     });
     assert!(retried.wait().is_ok());
+}
+
+static GATE_OPEN: Mutex<bool> = Mutex::new(false);
+static GATE: Condvar = Condvar::new();
+static GATED_STARTED: AtomicUsize = AtomicUsize::new(0);
+
+/// Holds its runner until the test opens the gate.
+fn gated_job(_tech: &Technology) -> Result<Response, FarmError> {
+    GATED_STARTED.fetch_add(1, Ordering::SeqCst);
+    let mut open = GATE_OPEN.lock().unwrap();
+    while !*open {
+        open = GATE.wait(open).unwrap();
+    }
+    Ok(Response::Text("gated done".into()))
+}
+
+#[test]
+fn blocking_submit_waits_for_a_backlog_slot() {
+    static BLOCKED_RAN: AtomicUsize = AtomicUsize::new(0);
+    fn blocked_job(_tech: &Technology) -> Result<Response, FarmError> {
+        BLOCKED_RAN.fetch_add(1, Ordering::SeqCst);
+        Ok(Response::Text("blocked done".into()))
+    }
+    let cfg = FarmConfig {
+        queue_capacity: 1,
+        ..FarmConfig::with_workers(1)
+    };
+    let farm = Farm::new(Technology::default_1p2um(), cfg);
+    let gated = |nonce| Request::Custom {
+        label: "slot",
+        nonce,
+        run: gated_job,
+    };
+    let running = farm.submit(gated(20));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while GATED_STARTED.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "the first job never started");
+        std::thread::yield_now();
+    }
+    // The runner is held inside the first job, so this fills the slot.
+    let queued = farm.submit(gated(21));
+    let blocked_req = Request::Custom {
+        label: "slot",
+        nonce: 22,
+        run: blocked_job,
+    };
+    let returned = AtomicUsize::new(0);
+    let blocked = std::thread::scope(|s| {
+        let submitter = s.spawn(|| {
+            let h = farm.submit(blocked_req);
+            returned.store(1, Ordering::SeqCst);
+            h
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            returned.load(Ordering::SeqCst),
+            0,
+            "submit returned with the backlog full"
+        );
+        *GATE_OPEN.lock().unwrap() = true;
+        GATE.notify_all();
+        submitter.join().unwrap()
+    });
+    assert!(blocked.wait().is_ok());
+    assert!(running.wait().is_ok());
+    assert!(queued.wait().is_ok());
+    assert_eq!(BLOCKED_RAN.load(Ordering::SeqCst), 1);
+    assert_eq!(farm.stats().rejected, 0);
+}
+
+#[test]
+fn shutdown_runs_accepted_jobs_before_returning() {
+    fn quick_job(_tech: &Technology) -> Result<Response, FarmError> {
+        Ok(Response::Text("quick".into()))
+    }
+    let mut farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(1));
+    let blocker = farm.submit(Request::Custom {
+        label: "drain",
+        nonce: 30,
+        run: slow_sleeper,
+    });
+    let queued: Vec<_> = (0..4)
+        .map(|i| {
+            farm.submit(Request::Custom {
+                label: "drain",
+                nonce: 31 + i,
+                run: quick_job,
+            })
+        })
+        .collect();
+    farm.shutdown();
+    // Already resolved when `shutdown` returns, and resolved `Ok`: the
+    // backlog was run, not failed with `ShuttingDown`.
+    assert!(matches!(blocker.peek(), Some(Ok(_))));
+    for h in &queued {
+        assert!(matches!(h.peek(), Some(Ok(_))), "got {:?}", h.peek());
+    }
+    assert_eq!(farm.stats().executed, 5);
+}
+
+fn slow_sleeper(_tech: &Technology) -> Result<Response, FarmError> {
+    std::thread::sleep(Duration::from_millis(100));
+    Ok(Response::Text("slept".into()))
+}
+
+type JobFn = fn(&Technology) -> Result<Response, FarmError>;
+
+static START_ORDER: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+
+fn ordered_job<const N: u64>(_tech: &Technology) -> Result<Response, FarmError> {
+    START_ORDER.lock().unwrap().push(N);
+    Ok(Response::Text(N.to_string()))
+}
+
+#[test]
+fn one_worker_starts_jobs_in_admission_order() {
+    let farm = Farm::new(Technology::default_1p2um(), FarmConfig::with_workers(1));
+    // Hold the runner so every ordered job sits in the backlog together.
+    let blocker = farm.submit(Request::Custom {
+        label: "order",
+        nonce: 40,
+        run: slow_sleeper,
+    });
+    let jobs: [JobFn; 8] = [
+        ordered_job::<0>,
+        ordered_job::<1>,
+        ordered_job::<2>,
+        ordered_job::<3>,
+        ordered_job::<4>,
+        ordered_job::<5>,
+        ordered_job::<6>,
+        ordered_job::<7>,
+    ];
+    let handles: Vec<_> = jobs
+        .into_iter()
+        .enumerate()
+        .map(|(i, run)| {
+            farm.submit(Request::Custom {
+                label: "order",
+                nonce: 41 + i as u64,
+                run,
+            })
+        })
+        .collect();
+    assert!(blocker.wait().is_ok());
+    for h in &handles {
+        assert!(h.wait().is_ok());
+    }
+    assert_eq!(*START_ORDER.lock().unwrap(), (0..8).collect::<Vec<u64>>());
+}
+
+#[test]
+fn concurrent_producers_at_a_small_backlog_lose_nothing() {
+    fn tiny_job(_tech: &Technology) -> Result<Response, FarmError> {
+        Ok(Response::Text("tiny".into()))
+    }
+    let cfg = FarmConfig {
+        queue_capacity: 4,
+        ..FarmConfig::with_workers(2)
+    };
+    let farm = Farm::new(Technology::default_1p2um(), cfg);
+    let handles: Vec<_> = std::thread::scope(|s| {
+        let producers: Vec<_> = (0..4u64)
+            .map(|p| {
+                let farm = &farm;
+                s.spawn(move || {
+                    (0..50u64)
+                        .map(|i| {
+                            farm.submit(Request::Custom {
+                                label: "producers",
+                                nonce: p * 100 + i,
+                                run: tiny_job,
+                            })
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        producers
+            .into_iter()
+            .flat_map(|p| p.join().unwrap())
+            .collect()
+    });
+    assert_eq!(handles.len(), 200);
+    for h in &handles {
+        assert!(h.wait().is_ok());
+    }
+    let stats = farm.stats();
+    assert_eq!(stats.executed, 200, "{stats:?}");
+    assert_eq!(stats.deduped + stats.cache_hits + stats.rejected, 0);
 }
 
 #[test]

@@ -118,7 +118,6 @@ impl ServerState {
             queue_capacity: config.queue_capacity,
             job_timeout: None,
             isolate_sizing_cache: config.isolate_sizing,
-            isolate_solver_cache: true,
             shared_graph: config.shared_graph,
         };
         Arc::new(ServerState {
