@@ -19,16 +19,19 @@
 //! * a content-addressed, single-flight result cache
 //!   ([`cache::ResultCache`]): identical requests are computed once,
 //!   whether they collide in flight or arrive after completion;
-//! * a sweep driver ([`SweepPlan`]) that expands a parameter grid into
-//!   jobs, reduces the results to an area/power/gain-error Pareto front,
-//!   and streams the lot as deterministic JSON Lines.
+//! * a sweep driver ([`SweepPlan`]) that runs every point of a parameter
+//!   grid straight on the shared executor, through the same execution
+//!   path as a queued job but without a backlog slot, handle or
+//!   result-cache entry (sweep points never populate the
+//!   [`ResultCache`]), reduces the results to an area/power/gain-error
+//!   Pareto front, and streams the lot as deterministic JSON Lines.
 //!
 //! Determinism is a design constraint, not an accident: sweeps produce
-//! byte-identical output whatever the worker count, because every job is
-//! executed as a pure function of `(technology, request)` — the estimation
-//! graph's bit-exact memo keys make a warm worker return exactly what a
-//! cold one would (the sparse solver's symbolic cache, whose pivot orders
-//! do depend on history, is reset before every job; see
+//! byte-identical output whatever the worker count, because every job and
+//! sweep point is executed as a pure function of `(technology, request)` —
+//! the estimation graph's bit-exact memo keys make a warm worker return
+//! exactly what a cold one would (the sparse solver's symbolic cache, whose
+//! pivot orders do depend on history, is reset before every job; see
 //! [`Farm::solver_cache_report`]) — and results are collected in grid
 //! order.
 //!

@@ -7,6 +7,10 @@
 //! deadlines and panic isolation. The farm owns no thread: it shares the
 //! executor with every other client — AC sweeps, `evaluate_many`
 //! fan-outs, other farms — instead of running a competing pool.
+//!
+//! Sweeps bypass the backlog and the cache: their tasks run each grid
+//! point through the same execution path (`Shared::run_now`) on the
+//! thread that claimed it.
 
 use crate::cache::{Claim, ResultCache};
 use crate::job::{canonical_key, FarmError, Request, Response};
@@ -87,7 +91,8 @@ pub struct FarmStats {
     /// Requests accepted by `submit`/`try_submit` (including deduplicated
     /// ones, which are accepted without queueing).
     pub submitted: u64,
-    /// Jobs actually executed by a worker.
+    /// Jobs actually executed, plus sweep points (which run without being
+    /// submitted).
     pub executed: u64,
     /// Submissions served from a completed cache entry.
     pub cache_hits: u64,
@@ -711,6 +716,26 @@ impl Farm {
         self.cancel.cancel();
     }
 
+    /// Runs `req` against the default technology on the calling thread,
+    /// through the same execution path as a backlog job and under a fresh
+    /// job token (a child of the farm root with the farm's job timeout),
+    /// but with no backlog slot, handle or result-cache entry. Sweeps drive
+    /// their grid points through this.
+    pub(crate) fn run_now(
+        &self,
+        req: &Request,
+        parent_span: Option<u64>,
+    ) -> Result<Response, FarmError> {
+        let token = self.job_token(&SubmitOptions::default());
+        self.shared
+            .run_now(req, &self.shared.tech, None, &token, parent_span)
+    }
+
+    /// `true` once [`Farm::shutdown`] has closed admission.
+    pub(crate) fn is_shut_down(&self) -> bool {
+        self.shared.admission().closed
+    }
+
     /// Closes admission and waits for the runners to leave: accepted but
     /// unstarted jobs still execute, and every accepted job has published
     /// its result when this returns. New submissions fail with
@@ -738,8 +763,8 @@ impl Drop for Farm {
 
 /// Publishes a `WorkerLost` result for a claimed key unless defused.
 ///
-/// `run_item` already nets ordinary job panics with `catch_unwind`, but a
-/// panic *outside* that net (probe sink, cache reset, a non-unwind payload
+/// `Shared::run_now` already nets ordinary job panics with `catch_unwind`,
+/// but a panic *outside* that net (probe sink, cache reset, a non-unwind payload
 /// aborting the worker thread) used to leave the key `InFlight` forever —
 /// every deduplicated waiter would then sleep until process exit. Arming
 /// this guard before running the job guarantees an outcome is published on
@@ -766,21 +791,8 @@ impl Drop for PublishOnDrop<'_> {
 }
 
 /// Executes one dequeued job on whatever thread the executor gave its
-/// runner and publishes its outcome. Runners have no thread affinity, so
-/// per-thread state (the estimation graph's shared-memo attachment) is
-/// asserted per job.
+/// runner and publishes its outcome into the result cache.
 fn run_job(shared: &Shared, item: &WorkItem) {
-    // Attach (or detach) this thread's estimation graph to the farm's
-    // memo store. Executor threads are shared between farms and other
-    // clients, so this is per-job — but `ensure` compares by `Arc`
-    // identity, so consecutive jobs from the same farm keep the thread's
-    // warm graph and pay nothing.
-    ape_core::graph::ensure_thread_shared_memo(shared.shared_graph.clone());
-    // Install (or clear) the job's calibration table on this thread.
-    // Comparison is by content fingerprint, so consecutive jobs under the
-    // same table keep the warm graph; the fingerprint is also folded into
-    // every memo key, so a stale entry can never answer a calibrated job.
-    ape_core::graph::ensure_thread_calibration(item.calib.clone());
     let mut guard = PublishOnDrop {
         shared,
         key: item.key,
@@ -789,56 +801,88 @@ fn run_job(shared: &Shared, item: &WorkItem) {
     let wait_ns = item.enqueued.elapsed().as_nanos() as f64;
     shared.queue_wait_ns.record(wait_ns);
     ape_probe::value("ape.farm.queue.wait_ns", wait_ns);
-    let t0 = Instant::now();
-    let result = run_item(shared, item);
-    let latency_ns = t0.elapsed().as_nanos() as f64;
-    shared.job_latency_ns.record(latency_ns);
-    ape_probe::value("ape.farm.job.latency_ns", latency_ns);
-    shared.stats.executed.fetch_add(1, Ordering::Relaxed);
-    match &result {
-        Err(FarmError::Cancelled) => {
-            shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-            ape_probe::counter("ape.farm.job.cancelled", 1);
-        }
-        Err(FarmError::Panicked(_)) => {
-            shared.stats.panicked.fetch_add(1, Ordering::Relaxed);
-            ape_probe::counter("ape.farm.job.panicked", 1);
-        }
-        Err(_) => ape_probe::counter("ape.farm.job.failed", 1),
-        Ok(_) => ape_probe::counter("ape.farm.job.ok", 1),
-    }
+    let result = shared.run_now(
+        &item.req,
+        &item.tech,
+        item.calib.as_ref(),
+        &item.cancel,
+        item.parent_span,
+    );
     guard.armed = false;
     shared.cache.publish(item.key, result);
 }
 
-fn run_item(shared: &Shared, item: &WorkItem) -> Result<Response, FarmError> {
-    // Parent the worker-side span under the innermost span that was open on
-    // the submitting thread, so a sweep's jobs hang off its request span in
-    // the exported trace tree instead of floating as roots.
-    let _span = ape_probe::span_with_parent("ape.farm.job", item.parent_span);
-    if item.cancel.is_cancelled() {
-        return Err(FarmError::Cancelled);
-    }
-    let _token_guard = cancel::set_current(item.cancel.clone());
-    if shared.isolate_sizing_cache {
-        ape_core::graph::reset_thread_graph();
-    }
-    // A cached pivot order is a function of the job that built it;
-    // starting every job cold keeps its floating-point path independent of
-    // what ran before it on the same thread.
-    ape_spice::reset_symbolic_cache();
-    let outcome = catch_unwind(AssertUnwindSafe(|| execute(&item.tech, &item.req)));
-    match outcome {
-        Ok(result) => result,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(FarmError::Panicked(msg))
+impl Shared {
+    /// Runs one request now, on the calling thread: the one execution path
+    /// behind both backlog jobs and sweep points. Threads have no farm
+    /// affinity, so per-thread state is asserted per call: the estimation
+    /// graph's memo store and calibration table are attached, `cancel` is
+    /// installed for the estimator's checkpoints, and the solver's symbolic
+    /// cache starts cold. A panic becomes [`FarmError::Panicked`]; every
+    /// outcome is counted in [`FarmStats`] and the job-latency histogram.
+    fn run_now(
+        &self,
+        req: &Request,
+        tech: &Technology,
+        calib: Option<&Arc<Calibration>>,
+        cancel: &CancelToken,
+        parent_span: Option<u64>,
+    ) -> Result<Response, FarmError> {
+        // `ensure` compares by `Arc` identity (calibrations by content
+        // fingerprint), so consecutive jobs from the same farm keep the
+        // thread's warm graph and pay nothing; the calibration fingerprint
+        // is also folded into every memo key, so a stale entry can never
+        // answer a calibrated job.
+        ape_core::graph::ensure_thread_shared_memo(self.shared_graph.clone());
+        ape_core::graph::ensure_thread_calibration(calib.cloned());
+        let t0 = Instant::now();
+        let result = {
+            // Parent the job's span under the innermost span that was open
+            // on the submitting thread, so jobs and sweep points hang off
+            // their request or sweep span in the exported trace tree
+            // instead of floating as roots.
+            let _span = ape_probe::span_with_parent("ape.farm.job", parent_span);
+            if cancel.is_cancelled() {
+                Err(FarmError::Cancelled)
+            } else {
+                let _token_guard = cancel::set_current(cancel.clone());
+                if self.isolate_sizing_cache {
+                    ape_core::graph::reset_thread_graph();
+                }
+                // A cached pivot order is a function of the job that built
+                // it; starting every job cold keeps its floating-point path
+                // independent of what ran before it on the same thread.
+                ape_spice::reset_symbolic_cache();
+                catch_unwind(AssertUnwindSafe(|| execute(tech, req)))
+                    .unwrap_or_else(|payload| Err(FarmError::Panicked(panic_message(&*payload))))
+            }
+        };
+        let latency_ns = t0.elapsed().as_nanos() as f64;
+        self.job_latency_ns.record(latency_ns);
+        ape_probe::value("ape.farm.job.latency_ns", latency_ns);
+        self.stats.executed.fetch_add(1, Ordering::Relaxed);
+        match &result {
+            Err(FarmError::Cancelled) => {
+                self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+                ape_probe::counter("ape.farm.job.cancelled", 1);
+            }
+            Err(FarmError::Panicked(_)) => {
+                self.stats.panicked.fetch_add(1, Ordering::Relaxed);
+                ape_probe::counter("ape.farm.job.panicked", 1);
+            }
+            Err(_) => ape_probe::counter("ape.farm.job.failed", 1),
+            Ok(_) => ape_probe::counter("ape.farm.job.ok", 1),
         }
+        result
     }
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 fn execute(tech: &Technology, req: &Request) -> Result<Response, FarmError> {

@@ -1,18 +1,28 @@
-//! Design-space sweeps: expand a parameter grid into farm jobs, collect
-//! the estimates, reduce them to a Pareto front, and stream the lot as
-//! JSON Lines.
+//! Design-space sweeps: estimate every point of a parameter grid on a
+//! farm's execution path, reduce the results to a Pareto front, and stream
+//! the lot as JSON Lines.
 //!
-//! The sweep is deterministic by construction: points are enumerated in a
-//! fixed row-major order, every job is a pure function of
+//! A sweep runs straight on the shared executor: a few tasks claim chunks
+//! of the grid and keep only each point's metrics, so sweep points never
+//! populate the farm's [`ResultCache`](crate::ResultCache). The sweep is
+//! deterministic by construction: points are enumerated in a fixed
+//! row-major order, every point is a pure function of
 //! `(technology, request)` (the estimation graph memoizes on bit-exact
-//! input fingerprints, so warm and cold workers agree), and results are
-//! collected in point order — so the JSONL output is byte-identical
-//! whatever the worker count.
+//! input fingerprints, so warm and cold threads agree), and results are
+//! stored in point order — so the JSONL output is byte-identical whatever
+//! the worker count.
 
-use crate::job::Request;
+use crate::job::{FarmError, Request};
 use crate::pool::Farm;
 use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+/// Grid points a sweep task claims at once: enough that claiming is rare
+/// next to the tens of microseconds a design takes, few enough that the
+/// last chunks still spread over every task.
+const CHUNK: usize = 32;
 
 /// A rectangular grid of op-amp specifications to estimate.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,38 +115,73 @@ impl SweepPlan {
         }
     }
 
-    /// Runs the whole grid on `farm` and reduces it to a report with the
-    /// Pareto front marked. Results are collected in point order, so the
-    /// report (and its JSONL rendering) does not depend on the farm's
-    /// worker count.
+    /// Runs the whole grid on `farm`'s execution path and reduces it to a
+    /// report with the Pareto front marked.
+    ///
+    /// Up to [`Farm::effective_workers`] tasks on the shared executor claim
+    /// chunks of the grid and reduce each point to its [`SweepMetrics`] as
+    /// soon as it is designed; no point takes a backlog slot, a handle or a
+    /// result-cache entry. Records stay in point order, so the report (and
+    /// its JSONL rendering) does not depend on the worker count.
     pub fn run(&self, farm: &Farm) -> SweepReport {
         let _span = ape_probe::span("ape.farm.sweep");
-        let points = self.points();
-        ape_probe::counter("ape.farm.sweep.points", points.len() as u64);
-        let handles: Vec<_> = points
-            .iter()
-            .map(|p| farm.submit(self.request_for(p)))
-            .collect();
-        let mut records: Vec<SweepRecord> = points
-            .iter()
-            .zip(&handles)
-            .map(|(p, h)| {
-                let outcome = match h.wait() {
-                    Ok(resp) => match resp.as_opamp() {
-                        Some(amp) => Ok(SweepMetrics::from_design(p, amp)),
-                        None => Err("unexpected response variant".to_string()),
-                    },
-                    Err(e) => Err(e.to_string()),
-                };
-                SweepRecord {
-                    point: *p,
-                    outcome,
-                    pareto: false,
-                }
+        let parent_span = ape_probe::current_span();
+        let mut records: Vec<SweepRecord> = self
+            .points()
+            .into_iter()
+            .map(|point| SweepRecord {
+                point,
+                outcome: Err(String::new()),
+                pareto: false,
             })
             .collect();
+        ape_probe::counter("ape.farm.sweep.points", records.len() as u64);
+        if farm.is_shut_down() {
+            for r in &mut records {
+                r.outcome = Err(FarmError::ShuttingDown.to_string());
+            }
+        } else {
+            // Points this thread help-drains attach its estimation graph to
+            // the farm's memo store and calibration; restore the caller's.
+            let memo = ape_core::graph::thread_shared_memo();
+            let calib = ape_core::graph::thread_calibration();
+            let chunks: Vec<Mutex<&mut [SweepRecord]>> =
+                records.chunks_mut(CHUNK).map(Mutex::new).collect();
+            let next = AtomicUsize::new(0);
+            let drain = || {
+                while let Some(chunk) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let mut chunk = chunk.lock().unwrap_or_else(PoisonError::into_inner);
+                    for r in chunk.iter_mut() {
+                        r.outcome = self.design_point(farm, &r.point, parent_span);
+                    }
+                }
+            };
+            let tasks = farm.effective_workers().min(chunks.len());
+            ape_exec::Executor::global().scope(|s| {
+                for _ in 0..tasks {
+                    s.spawn(drain);
+                }
+            });
+            ape_core::graph::ensure_thread_shared_memo(memo);
+            ape_core::graph::ensure_thread_calibration(calib);
+        }
         mark_pareto(&mut records);
         SweepReport { records }
+    }
+
+    /// Designs one point and keeps only its metrics.
+    fn design_point(
+        &self,
+        farm: &Farm,
+        p: &SweepPoint,
+        parent_span: Option<u64>,
+    ) -> Result<SweepMetrics, String> {
+        let resp = farm
+            .run_now(&self.request_for(p), parent_span)
+            .map_err(|e| e.to_string())?;
+        resp.as_opamp()
+            .map(|amp| SweepMetrics::from_design(p, amp))
+            .ok_or_else(|| "unexpected response variant".to_string())
     }
 }
 

@@ -5,11 +5,12 @@
 //! because every job runs as a pure function of `(technology, request)` —
 //! the estimation graph's bit-exact memo keys make warm workers answer
 //! exactly as cold ones would — and the report collects results in grid
-//! order.
+//! order. The records themselves must also equal a sequential reference
+//! built without the farm.
 
 use ape_core::basic::MirrorTopology;
-use ape_core::opamp::OpAmpTopology;
-use ape_farm::{Farm, FarmConfig, SweepPlan};
+use ape_core::opamp::{OpAmp, OpAmpSpec, OpAmpTopology};
+use ape_farm::{Farm, FarmConfig, FarmError, SweepMetrics, SweepPlan, SweepRecord};
 use ape_netlist::Technology;
 
 fn small_plan() -> SweepPlan {
@@ -63,4 +64,91 @@ fn one_and_eight_workers_emit_identical_jsonl() {
 #[test]
 fn repeated_runs_are_reproducible() {
     assert_eq!(run_with(2), run_with(2));
+}
+
+/// The records a sweep of `plan` must produce, built without the farm: one
+/// `OpAmp::design` per point in grid order on this thread, the same metric
+/// reduction, and the Pareto front recomputed by brute force.
+fn sequential_reference(plan: &SweepPlan) -> Vec<SweepRecord> {
+    let tech = Technology::default_1p2um();
+    let mut records: Vec<SweepRecord> = plan
+        .points()
+        .into_iter()
+        .map(|p| {
+            let spec = OpAmpSpec {
+                gain: p.gain,
+                ugf_hz: p.ugf_hz,
+                area_max_m2: plan.area_max_m2,
+                ibias: plan.ibias_a,
+                zout_ohm: if p.topology.buffer {
+                    plan.zout_ohm
+                } else {
+                    None
+                },
+                cl: p.cl_f,
+            };
+            let outcome = match OpAmp::design(&tech, p.topology, spec) {
+                Ok(amp) => {
+                    let gain = amp.perf.dc_gain.map(f64::abs).unwrap_or(0.0);
+                    Ok(SweepMetrics {
+                        area_um2: amp.perf.gate_area_m2 * 1e12,
+                        power_mw: amp.perf.power_w * 1e3,
+                        gain,
+                        gain_err_frac: ((p.gain - gain) / p.gain).max(0.0),
+                        ugf_hz: amp.perf.ugf_hz.unwrap_or(0.0),
+                    })
+                }
+                Err(e) => Err(FarmError::from(e).to_string()),
+            };
+            SweepRecord {
+                point: p,
+                outcome,
+                pareto: false,
+            }
+        })
+        .collect();
+    let objectives = |m: &SweepMetrics| [m.area_um2, m.power_mw, m.gain_err_frac];
+    let front: Vec<bool> = records
+        .iter()
+        .map(|r| {
+            let Ok(m) = &r.outcome else { return false };
+            let a = objectives(m);
+            !records
+                .iter()
+                .filter_map(|o| o.outcome.as_ref().ok())
+                .any(|o| {
+                    let b = objectives(o);
+                    b.iter().zip(&a).all(|(x, y)| x <= y) && b.iter().zip(&a).any(|(x, y)| x < y)
+                })
+        })
+        .collect();
+    for (r, on_front) in records.iter_mut().zip(front) {
+        r.pareto = on_front;
+    }
+    records
+}
+
+#[test]
+fn records_match_a_sequential_reference_at_any_worker_count() {
+    let plan = small_plan();
+    let reference = sequential_reference(&plan);
+    assert!(reference.iter().any(|r| r.pareto));
+    let configs = [
+        FarmConfig::with_workers(1),
+        FarmConfig::with_workers(2),
+        FarmConfig::with_workers(8),
+        FarmConfig {
+            shared_graph: true,
+            ..FarmConfig::with_workers(2)
+        },
+    ];
+    for config in configs {
+        let label = format!("{config:?}");
+        let farm = Farm::new(Technology::default_1p2um(), config);
+        let report = plan.run(&farm);
+        assert_eq!(
+            report.records, reference,
+            "sweep differs from the reference at {label}"
+        );
+    }
 }

@@ -308,14 +308,15 @@ impl Server {
                 let _ = writeln!(stream, "{}", err_response(0, &err));
                 continue;
             }
-            let state = state.clone();
+            // Take the slot here, before the next accept is checked; a
+            // failed spawn drops the closure and so frees the slot again.
+            let slot = ConnSlot::take(&state);
             let _ = std::thread::Builder::new()
                 .name("ape-serve-conn".to_string())
                 .spawn(move || {
-                    state.open_conns.fetch_add(1, Ordering::Relaxed);
+                    let state = &slot.0;
                     state.stats.connections.fetch_add(1, Ordering::Relaxed);
-                    handle_conn(&state, stream);
-                    state.open_conns.fetch_sub(1, Ordering::Relaxed);
+                    handle_conn(state, stream);
                 });
         }
         Ok(())
@@ -336,6 +337,23 @@ impl Server {
             state,
             thread: Some(thread),
         })
+    }
+}
+
+/// One slot under [`ServerConfig::max_connections`], held by a connection
+/// thread and given back when dropped, even if that thread panics.
+struct ConnSlot(Arc<ServerState>);
+
+impl ConnSlot {
+    fn take(state: &Arc<ServerState>) -> ConnSlot {
+        state.open_conns.fetch_add(1, Ordering::Relaxed);
+        ConnSlot(Arc::clone(state))
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.open_conns.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

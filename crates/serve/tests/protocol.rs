@@ -272,6 +272,32 @@ fn connection_budget_rejects_with_429() {
 }
 
 #[test]
+fn connection_cap_turns_away_a_second_connection() {
+    // The accept loop must count a connection before it accepts the next
+    // one, so a burst cannot slip past the cap. Fresh servers each round:
+    // both connects land in the listen backlog before the first accept.
+    for _ in 0..25 {
+        let server = start(ServerConfig {
+            max_connections: 1,
+            ..ServerConfig::default()
+        });
+        let mut first = Client::connect(server.addr()).unwrap();
+        let mut second = TcpStream::connect(server.addr()).unwrap();
+        second
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut line = String::new();
+        second.read_to_string(&mut line).unwrap();
+        assert!(
+            line.contains("\"overloaded\""),
+            "second connection got {line:?}"
+        );
+        assert!(first.ping().unwrap(), "the first connection keeps its slot");
+        server.stop();
+    }
+}
+
+#[test]
 fn mid_request_disconnect_cancels_cleanly() {
     let server = start(ServerConfig::default());
     {

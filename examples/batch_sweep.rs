@@ -3,9 +3,11 @@
 //! Batch design-space sweep: size 144 op-amp variants concurrently and
 //! reduce them to an area/power/gain-error Pareto front.
 //!
-//! The grid is 4 gains × 4 UGFs × 3 loads × 3 topologies; the farm runs
-//! it on a bounded-queue worker pool with a single-flight result cache,
-//! then the report streams as JSON Lines (stdout unless a path is given).
+//! The grid is 4 gains × 4 UGFs × 3 loads × 3 topologies. The sweep runs
+//! it straight on the shared executor, up to one task per farm worker,
+//! each point through the farm's job path (sweep points do not populate
+//! the farm's result cache); the report streams as JSON Lines (stdout
+//! unless a path is given).
 //!
 //! Run with `cargo run --release --example batch_sweep [-- output.jsonl]`.
 //! Set `APE_TRACE=summary` to see the farm's probe counters and spans.
