@@ -4,8 +4,9 @@
 //! Flattens both `BENCH_*.json` files to dotted numeric paths, infers each
 //! metric's quality direction from its name (`*_per_s` up is good, `*_ns`
 //! down is good, `count`/`schema`/... informational), and prints every
-//! path that moved the bad way past the tolerance. Exits non-zero when any
-//! regression is flagged, so CI can gate on
+//! path that moved the bad way past the tolerance and every baseline path
+//! the new file lacks. Exits 1 when any regression or missing path is
+//! flagged and 2 when a file cannot be read or parsed, so CI can gate on
 //! `report results/BENCH_x.json.baseline results/BENCH_x.json`.
 //!
 //! Reports carrying an `"executor"` section (worker-count scaling arrays)
@@ -16,15 +17,15 @@
 //! run recorded `detected_parallelism` of 1 — worker counts serialize on
 //! one core there, so the arrays measure scheduling overhead, not scaling.
 
-use ape_bench::minijson::{self, Json};
 use ape_bench::report::{diff, Delta, Direction};
+use ape_json::Value;
 
-fn load(path: &str) -> minijson::Json {
+fn load(path: &str) -> Value {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("error: cannot read {path}: {e}");
         std::process::exit(2);
     });
-    minijson::parse(&text).unwrap_or_else(|e| {
+    ape_json::parse(&text).unwrap_or_else(|e| {
         eprintln!("error: {path}: {e}");
         std::process::exit(2);
     })
@@ -32,9 +33,9 @@ fn load(path: &str) -> minijson::Json {
 
 /// The hardware parallelism the run recorded, defaulting to 1 for bench
 /// files that don't carry the field (they have no scaling sections).
-fn detected_parallelism(doc: &Json) -> f64 {
+fn detected_parallelism(doc: &Value) -> f64 {
     doc.get("detected_parallelism")
-        .and_then(Json::as_f64)
+        .and_then(Value::as_f64)
         .unwrap_or(1.0)
 }
 
@@ -42,14 +43,14 @@ fn detected_parallelism(doc: &Json) -> f64 {
 /// and returns a violation line for every entry that falls below the
 /// first (1-worker) entry by more than `slack`: adding workers must never
 /// cost throughput.
-fn monotone_violations(prefix: &str, v: &Json, slack: f64, out: &mut Vec<String>) {
+fn monotone_violations(prefix: &str, v: &Value, slack: f64, out: &mut Vec<String>) {
     match v {
-        Json::Obj(members) => {
+        Value::Obj(members) => {
             for (k, child) in members {
                 let path = format!("{prefix}.{k}");
                 if k.contains("per_s") {
                     if let Some(items) = child.as_arr() {
-                        let vals: Vec<f64> = items.iter().filter_map(Json::as_f64).collect();
+                        let vals: Vec<f64> = items.iter().filter_map(Value::as_f64).collect();
                         if let Some(&base) = vals.first() {
                             for (i, &t) in vals.iter().enumerate().skip(1) {
                                 if t < base * (1.0 - slack) {
@@ -66,7 +67,7 @@ fn monotone_violations(prefix: &str, v: &Json, slack: f64, out: &mut Vec<String>
                 monotone_violations(&path, child, slack, out);
             }
         }
-        Json::Arr(items) => {
+        Value::Arr(items) => {
             for (i, child) in items.iter().enumerate() {
                 monotone_violations(&format!("{prefix}.{i}"), child, slack, out);
             }
@@ -106,7 +107,7 @@ fn main() {
 
     let old = load(baseline);
     let new = load(candidate);
-    let mut deltas = diff(&old, &new, tolerance);
+    let (mut deltas, missing) = diff(&old, &new, tolerance);
     if deltas.is_empty() {
         eprintln!("error: no numeric paths shared between {baseline} and {candidate}");
         std::process::exit(2);
@@ -160,8 +161,9 @@ fn main() {
         tolerance * 100.0
     );
     println!(
-        "  {improved} improved past the tolerance, {} regressed",
-        regressions.len()
+        "  {improved} improved past the tolerance, {} regressed, {} missing",
+        regressions.len(),
+        missing.len()
     );
     for d in &regressions {
         println!(
@@ -176,7 +178,10 @@ fn main() {
     for f in &scaling_failures {
         println!("  SCALING REGRESSION {f}");
     }
-    if !regressions.is_empty() || !scaling_failures.is_empty() {
+    for path in &missing {
+        println!("  MISSING {path}: in {baseline}, not in {candidate}");
+    }
+    if !regressions.is_empty() || !scaling_failures.is_empty() || !missing.is_empty() {
         std::process::exit(1);
     }
     println!("no regressions");

@@ -4,12 +4,15 @@
 //! The `table1`–`table5` binaries print the tables; this library holds the
 //! specification sets and the est-vs-sim row computations so the root
 //! integration tests can gate on the same numbers.
+//!
+//! The [`report`] module and the `report`/`trace` binaries read
+//! `BENCH_*.json` files and JSONL traces back through `ape_json::parse`,
+//! the same parser the daemon and calibration persistence use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod minijson;
 pub mod report;
 pub mod rows;
 pub mod specs;

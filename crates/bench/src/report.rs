@@ -4,11 +4,13 @@
 //! Every bench JSON carries `"schema": 2` and a `"latency_ns"` section of
 //! per-metric quantile blocks rendered by [`latency_block`] from
 //! [`ape_probe::HistogramSnapshot`]s, so CI and humans read p50/p99 the
-//! same way in every file. [`diff`] flattens two reports to dotted numeric
-//! paths and flags the ones that moved the wrong way past a tolerance,
-//! with the good direction inferred from the key name ([`direction_for`]).
+//! same way in every file. [`diff`] flattens two reports (parsed with
+//! `ape_json`) to dotted numeric paths, flags the ones that moved the
+//! wrong way past a tolerance, with the good direction inferred from the
+//! key name ([`direction_for`]), and lists the baseline paths the new
+//! report lacks.
 
-use crate::minijson::Json;
+use ape_json::Value;
 use ape_probe::HistogramSnapshot;
 use std::fmt::Write as _;
 
@@ -118,10 +120,10 @@ impl Delta {
     }
 }
 
-fn flatten(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
+fn flatten(prefix: &str, v: &Value, out: &mut Vec<(String, f64)>) {
     match v {
-        Json::Num(n) => out.push((prefix.to_string(), *n)),
-        Json::Obj(members) => {
+        Value::Num(n) => out.push((prefix.to_string(), *n)),
+        Value::Obj(members) => {
             for (k, child) in members {
                 let path = if prefix.is_empty() {
                     k.clone()
@@ -131,7 +133,7 @@ fn flatten(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
                 flatten(&path, child, out);
             }
         }
-        Json::Arr(items) => {
+        Value::Arr(items) => {
             for (i, child) in items.iter().enumerate() {
                 flatten(&format!("{prefix}.{i}"), child, out);
             }
@@ -143,38 +145,42 @@ fn flatten(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
 /// Compares two parsed bench reports. Every numeric path present in both
 /// becomes a [`Delta`]; a delta is a regression when its direction is
 /// known and it moved the bad way by more than `tolerance` (fractional:
-/// `0.10` = 10 %).
-pub fn diff(old: &Json, new: &Json, tolerance: f64) -> Vec<Delta> {
+/// `0.10` = 10 %). The second list holds the baseline's numeric paths the
+/// new report lacks: a renamed or dropped metric must fail the gate, not
+/// slip past it.
+pub fn diff(old: &Value, new: &Value, tolerance: f64) -> (Vec<Delta>, Vec<String>) {
     let mut old_paths = Vec::new();
     let mut new_paths = Vec::new();
     flatten("", old, &mut old_paths);
     flatten("", new, &mut new_paths);
     let mut deltas = Vec::new();
-    for (path, old_v) in &old_paths {
-        let Some((_, new_v)) = new_paths.iter().find(|(p, _)| p == path) else {
+    let mut missing = Vec::new();
+    for (path, old_v) in old_paths {
+        let Some((_, new_v)) = new_paths.iter().find(|(p, _)| *p == path) else {
+            missing.push(path);
             continue;
         };
-        let direction = direction_for(path);
+        let direction = direction_for(&path);
         let regression = match direction {
-            Direction::HigherIsBetter => *new_v < *old_v * (1.0 - tolerance),
-            Direction::LowerIsBetter => *new_v > *old_v * (1.0 + tolerance),
+            Direction::HigherIsBetter => *new_v < old_v * (1.0 - tolerance),
+            Direction::LowerIsBetter => *new_v > old_v * (1.0 + tolerance),
             Direction::Informational => false,
         };
         deltas.push(Delta {
-            path: path.clone(),
-            old: *old_v,
+            path,
+            old: old_v,
             new: *new_v,
             direction,
             regression,
         });
     }
-    deltas
+    (deltas, missing)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minijson::parse;
+    use ape_json::parse;
 
     #[test]
     fn latency_block_shape() {
@@ -183,9 +189,9 @@ mod tests {
         h.record(3000.0);
         let block = latency_block(&h.snapshot());
         let doc = parse(&block).expect("block is valid json");
-        assert_eq!(doc.get("count").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(doc.get("count").and_then(Value::as_f64), Some(2.0));
         for key in ["mean_ns", "p50_ns", "p90_ns", "p99_ns", "p999_ns", "max_ns"] {
-            let v = doc.get(key).and_then(Json::as_f64).expect(key);
+            let v = doc.get(key).and_then(Value::as_f64).expect(key);
             assert!((0.0..=3000.0).contains(&v), "{key} = {v}");
         }
         // An empty histogram renders finite zeros, not inf/nan.
@@ -229,13 +235,25 @@ mod tests {
     fn diff_flags_only_bad_moves() {
         let old = parse(r#"{"x_per_s": 100, "p99_ns": 50, "moves": 10}"#).expect("old");
         let new = parse(r#"{"x_per_s": 80, "p99_ns": 54, "moves": 99}"#).expect("new");
-        let deltas = diff(&old, &new, 0.10);
+        let (deltas, missing) = diff(&old, &new, 0.10);
+        assert!(missing.is_empty());
         let by_path = |p: &str| deltas.iter().find(|d| d.path == p).expect("path present");
         assert!(by_path("x_per_s").regression, "20% throughput drop flagged");
         assert!(!by_path("p99_ns").regression, "8% latency rise tolerated");
         assert!(!by_path("moves").regression, "informational never flags");
         // Improvements never flag either.
         let better = parse(r#"{"x_per_s": 300, "p99_ns": 10, "moves": 10}"#).expect("better");
-        assert!(diff(&old, &better, 0.10).iter().all(|d| !d.regression));
+        assert!(diff(&old, &better, 0.10).0.iter().all(|d| !d.regression));
+    }
+
+    #[test]
+    fn diff_lists_metrics_the_new_report_lacks() {
+        let old =
+            parse(r#"{"x_per_s": 100, "latency_ns": {"p99_ns": 50}, "n": [1, 2]}"#).expect("old");
+        let new = parse(r#"{"x_per_s": 100, "latency": {"p99_ns": 50}, "n": [1]}"#).expect("new");
+        let (deltas, missing) = diff(&old, &new, 0.10);
+        assert_eq!(missing, ["latency_ns.p99_ns", "n.1"]);
+        assert_eq!(deltas.len(), 2, "shared paths still compare");
+        assert!(deltas.iter().all(|d| !d.regression));
     }
 }

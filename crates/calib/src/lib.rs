@@ -21,13 +21,16 @@
 //! unknown equation ids, unknown metrics, non-finite or non-positive
 //! factors, and wrong-arity term vectors with a typed [`CalibError`], so
 //! a table that exists is a table that can be applied.
+//!
+//! Tables persist as JSON through `ape-json`, the codec the daemon's wire
+//! protocol uses, so a table's floats survive [`Calibration::render`] and
+//! [`Calibration::parse`] bit-exactly.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
-
+use ape_json as json;
 use ape_mos::eqid;
 use ape_mos::fingerprint::Fingerprint;
 use std::collections::BTreeMap;
@@ -642,7 +645,7 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_bit_exact() {
-        let mut t = Calibration::identity(0xDEAD_BEEF_0102_0304, "fit@seed1999");
+        let mut t = Calibration::identity(0xDEAD_BEEF_0102_0304, "fit@seed1999 \u{1f600}");
         t.set("l2.diffpair", "dc_gain", 1.0 / 3.0, &[]).unwrap();
         t.set(
             "l3.opamp",
@@ -656,6 +659,9 @@ mod tests {
         assert_eq!(back, t);
         assert_eq!(back.fingerprint(), t.fingerprint());
         assert_eq!(back.render(), text, "canonical form is a fixed point");
+        // Python's `json.dumps` spells the emoji as a UTF-16 surrogate pair.
+        let ascii = text.replace('\u{1f600}', r"\ud83d\ude00");
+        assert_eq!(Calibration::parse(&ascii).unwrap(), t);
     }
 
     #[test]

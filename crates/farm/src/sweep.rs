@@ -15,6 +15,7 @@
 use crate::job::{FarmError, Request};
 use crate::pool::Farm;
 use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
+use ape_json as json;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -308,63 +309,31 @@ impl SweepReport {
                 "{{\"index\":{},\"topology\":\"{}\",\"gain_spec\":{},\"ugf_spec_hz\":{},\"cl_f\":{}",
                 p.index,
                 p.topology_label(),
-                Num(p.gain),
-                Num(p.ugf_hz),
-                Num(p.cl_f),
+                json::num(p.gain),
+                json::num(p.ugf_hz),
+                json::num(p.cl_f),
             );
             match &r.outcome {
                 Ok(m) => {
                     let _ = write!(
                         out,
                         ",\"area_um2\":{},\"power_mw\":{},\"gain\":{},\"gain_err_frac\":{},\"ugf_hz\":{},\"pareto\":{}",
-                        Num(m.area_um2),
-                        Num(m.power_mw),
-                        Num(m.gain),
-                        Num(m.gain_err_frac),
-                        Num(m.ugf_hz),
+                        json::num(m.area_um2),
+                        json::num(m.power_mw),
+                        json::num(m.gain),
+                        json::num(m.gain_err_frac),
+                        json::num(m.ugf_hz),
                         r.pareto,
                     );
                 }
                 Err(e) => {
-                    let _ = write!(out, ",\"error\":\"{}\"", escape_json(e));
+                    let _ = write!(out, ",\"error\":\"{}\"", json::escape(e));
                 }
             }
             out.push_str("}\n");
         }
         out
     }
-}
-
-/// JSON-safe float rendering: Rust `Display` is shortest-round-trip and
-/// deterministic, but non-finite values need a textual stand-in.
-struct Num(f64);
-
-impl std::fmt::Display for Num {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0.is_finite() {
-            write!(f, "{}", self.0)
-        } else {
-            write!(f, "\"{}\"", self.0)
-        }
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -435,11 +404,5 @@ mod tests {
         assert!(lines[0].contains("\"pareto\":true"));
         assert!(lines[1].contains("\"error\":\"failed\""));
         assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
-    }
-
-    #[test]
-    fn json_escaping_handles_quotes_and_control_chars() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 }

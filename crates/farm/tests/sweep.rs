@@ -8,6 +8,7 @@
 use ape_core::basic::MirrorTopology;
 use ape_core::opamp::{OpAmpSpec, OpAmpTopology};
 use ape_farm::{Farm, FarmConfig, FarmError, Request, SweepPlan};
+use ape_json::Value;
 use ape_netlist::Technology;
 use std::time::Duration;
 
@@ -105,4 +106,35 @@ fn sweep_points_leave_no_result_cache_entries() {
     assert_eq!(stats.cache_hits, 0, "the sweep populated the result cache");
     assert_eq!(stats.deduped, 0);
     assert_eq!(stats.executed, plan.len() as u64 + 1);
+}
+
+#[test]
+fn jsonl_parses_back_bit_exactly_through_ape_json() {
+    let farm = farm(FarmConfig::with_workers(2));
+    let mut report = plan().run(&farm);
+    assert!(report.successes().count() > 1);
+    let error = "quote \" newline \n ctrl \u{1} emoji \u{1f600}";
+    report.records[1].outcome = Err(error.to_string());
+    let text = report.to_jsonl();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), report.records.len());
+    let bits = |doc: &Value, key: &str| doc.get(key).and_then(Value::as_f64).map(f64::to_bits);
+    for (line, r) in lines.iter().zip(&report.records) {
+        let doc = ape_json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(bits(&doc, "index"), Some((r.point.index as f64).to_bits()));
+        assert_eq!(bits(&doc, "gain_spec"), Some(r.point.gain.to_bits()));
+        assert_eq!(bits(&doc, "ugf_spec_hz"), Some(r.point.ugf_hz.to_bits()));
+        assert_eq!(bits(&doc, "cl_f"), Some(r.point.cl_f.to_bits()));
+        match &r.outcome {
+            Ok(m) => {
+                assert_eq!(bits(&doc, "area_um2"), Some(m.area_um2.to_bits()));
+                assert_eq!(bits(&doc, "power_mw"), Some(m.power_mw.to_bits()));
+                assert_eq!(bits(&doc, "gain"), Some(m.gain.to_bits()));
+                assert_eq!(bits(&doc, "gain_err_frac"), Some(m.gain_err_frac.to_bits()));
+                assert_eq!(bits(&doc, "ugf_hz"), Some(m.ugf_hz.to_bits()));
+                assert_eq!(doc.get("pareto").and_then(Value::as_bool), Some(r.pareto));
+            }
+            Err(e) => assert_eq!(doc.get("error").and_then(Value::as_str), Some(e.as_str())),
+        }
+    }
 }

@@ -1,9 +1,9 @@
 //! Streaming sink: one JSON object per event, newline-delimited, written
-//! to stderr or a file for offline analysis (no serde — the event grammar
-//! is tiny and hand-rolled).
+//! to stderr or a file for offline analysis. Lines are formatted in place
+//! (the event grammar is tiny); names go through `ape_json`'s escaper.
 
-use crate::trace::escape;
 use crate::{Sink, SpanEvent};
+use ape_json::escape;
 use std::fs::File;
 use std::io::{BufWriter, Stderr, Write};
 use std::path::Path;
@@ -183,9 +183,10 @@ mod tests {
         s.on_value("v", 0.25);
         s.on_value("nan", f64::NAN);
         s.on_gauge("g", 3.0);
+        s.on_gauge("q\"inf", f64::NEG_INFINITY);
         let out = s.buffer_contents();
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 5);
+        assert_eq!(lines.len(), 6);
         assert_eq!(
             lines[0],
             "{\"type\":\"span\",\"name\":\"a.b\",\"id\":9,\"parent\":4,\"tid\":1,\"depth\":2,\"start_ns\":777,\"ns\":12345}"
@@ -203,6 +204,13 @@ mod tests {
             "{\"type\":\"value\",\"name\":\"nan\",\"value\":null}"
         );
         assert_eq!(lines[4], "{\"type\":\"gauge\",\"name\":\"g\",\"value\":3}");
+        // A non-finite value is `null`, not the canonical `"-inf"` string.
+        let last = ape_json::parse(lines[5]).expect("line parses");
+        assert_eq!(
+            last.get("name").and_then(ape_json::Value::as_str),
+            Some("q\"inf")
+        );
+        assert_eq!(last.get("value"), Some(&ape_json::Value::Null));
     }
 
     #[test]
@@ -218,11 +226,5 @@ mod tests {
             dur_ns: 10,
         });
         assert!(s.buffer_contents().contains("\"parent\":null"));
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

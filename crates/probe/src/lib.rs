@@ -30,6 +30,9 @@
 //! | [`JsonLinesSink`] | one JSON object per event, for offline analysis |
 //! | [`ChromeTraceSink`] | buffers the span tree, renders Perfetto-loadable JSON |
 //!
+//! Both JSON sinks escape names with `ape_json::escape`, the workspace's
+//! one JSON string escaper.
+//!
 //! Binaries opt in through the `APE_TRACE` environment variable (see
 //! [`install_from_env`]): `APE_TRACE=summary` prints an aggregated report
 //! on exit, `APE_TRACE=jsonl[:path]` streams events, and

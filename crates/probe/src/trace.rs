@@ -9,7 +9,7 @@
 //! (`"ph":"s"` / `"ph":"f"`), and gauges as counter tracks (`"ph":"C"`).
 
 use crate::{epoch_ns, Sink, SpanEvent};
-use std::fmt::Write as _;
+use ape_json::escape;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -151,25 +151,6 @@ impl Sink for ChromeTraceSink {
 /// Microseconds with nanosecond fraction, the unit Chrome traces use.
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-/// Escapes a name for a JSON string literal (shared with the JSONL sink).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders spans as Chrome trace-event JSON (no counter tracks).

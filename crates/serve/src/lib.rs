@@ -12,9 +12,9 @@
 //! - [`server`] — the daemon: accept loop, admission control,
 //!   cancellation tree, `/metrics`.
 //! - [`client`] — a small blocking client (bench, checks, tests).
-//! - [`json`] — the JSON value/parser/renderer whose float output
-//!   round-trips bit-exactly (shared with calibration persistence; lives
-//!   in `ape-calib`, re-exported here).
+//! - [`json`] — the workspace's one JSON codec (the `ape-json` crate,
+//!   re-exported here as the wire API): its float output round-trips
+//!   bit-exactly, and calibration persistence uses the same encoding.
 //!
 //! # A one-minute session
 //!
@@ -45,7 +45,7 @@ pub mod client;
 pub mod proto;
 pub mod server;
 
-pub use ape_calib::json;
+pub use ape_json as json;
 
 pub use client::{Client, Reply, ReplyError};
 pub use proto::{ErrorCode, WireError, WireRequest};

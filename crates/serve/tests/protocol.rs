@@ -185,6 +185,8 @@ fn hostile_lines_get_typed_errors_and_never_wedge() {
         "[1,2,3]",
         "{\"op\":\"design\",\"id\":3,\"topology\":{\"mirror\":\"bogus\"},\"spec\":{}}",
         "\u{0}\u{1}\u{2}",
+        // RFC 8259: a raw control character inside a string is malformed.
+        "{\"op\":\"ping\",\"id\":4,\"pad\":\"a\tb\"}",
     ] {
         c.send_raw(line).unwrap();
         let reply = c.recv().unwrap();
